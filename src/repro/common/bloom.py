@@ -20,6 +20,9 @@ from __future__ import annotations
 import hashlib
 import math
 
+#: maps the byte-per-bit marks of :meth:`BloomFilter.update` to digits
+_MARK_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
 
 class BloomFilter:
     """A fixed-size Bloom filter with double-hashing.
@@ -49,27 +52,60 @@ class BloomFilter:
         num_hashes = max(1, int(round(num_bits / expected_items * math.log(2))))
         return cls(num_bits=num_bits, num_hashes=num_hashes)
 
-    def _positions(self, item: str):
+    def _positions(self, item: str) -> list[int]:
+        """``item``'s ``num_hashes`` bit positions (double hashing) — the
+        one home of the formula every add and probe goes through."""
         digest = hashlib.sha1(item.encode("utf-8")).digest()
-        h1 = int.from_bytes(digest[:8], "big")
-        h2 = int.from_bytes(digest[8:16], "big") | 1  # odd => full cycle
-        for i in range(self.num_hashes):
-            yield (h1 + i * h2) % self.num_bits
+        num_bits = self.num_bits
+        # Positions are (h1 + i * h2) mod num_bits with h2 odd (full
+        # cycle); reducing both halves first gives the same positions
+        # while the per-position arithmetic stays on small ints.
+        h1 = int.from_bytes(digest[:8], "big") % num_bits
+        h2 = (int.from_bytes(digest[8:16], "big") | 1) % num_bits
+        return [(h1 + i * h2) % num_bits for i in range(self.num_hashes)]
 
     def add(self, item: str) -> None:
-        for position in self._positions(item):
-            self._bits |= 1 << position
-        self._count += 1
+        self.update((item,))
 
     def update(self, items) -> None:
+        """Add every item in one pass: hash each, mark its positions in a
+        scratch array of one byte per bit, then fold that into the bit
+        array once (rather than rebuilding the big int per set bit)."""
+        positions = self._positions
+        marks = bytearray(self.num_bits)
+        added = 0
         for item in items:
-            self.add(item)
+            for position in positions(item):
+                marks[position] = 1
+            added += 1
+        # Reversed, the marks read as the binary digits of the new bits.
+        self._bits |= int(marks[::-1].translate(_MARK_DIGITS), 2)
+        self._count += added
 
     def __contains__(self, item: str) -> bool:
-        return all(self._bits >> position & 1 for position in self._positions(item))
+        return self.contains_many((item,))[0]
+
+    def contains_many(self, items) -> list[bool]:
+        """Batch membership: one flag per item, in order.
+
+        The bit array is unpacked once into a string of binary digits
+        (character ``i`` is bit ``i``), so each probe reads one character
+        instead of shifting the whole big int per position.
+        """
+        digits = bin(self._bits)[2:][::-1].ljust(self.num_bits, "0")
+        positions = self._positions
+        flags: list[bool] = []
+        for item in items:
+            for position in positions(item):
+                if digits[position] != "1":
+                    flags.append(False)
+                    break
+            else:
+                flags.append(True)
+        return flags
 
     def __len__(self) -> int:
-        """Number of add() calls (not distinct items)."""
+        """Number of items added (duplicates counted, not distinct items)."""
         return self._count
 
     @property

@@ -67,7 +67,7 @@ from repro.pier.operators import (
     SubstringFilter,
     Scan,
     SymmetricHashJoin,
-    bloom_contains_key,
+    bloom_probe_keys,
 )
 from repro.pier.rows import RowBatch
 from repro.pier.query import (
@@ -1367,7 +1367,7 @@ class _BloomProbeStage:
         # Key-level Bloom probe (the BloomProbe operator's semantics,
         # without materialising a candidate dict per posting row).
         candidates = dict.fromkeys(
-            row["fileID"] for row in rows if bloom_contains_key(bloom, row["fileID"])
+            bloom_probe_keys(bloom, [row["fileID"] for row in rows])
         )
         if hot is not None:
             hot.bloom_probe_seconds.observe(perf_counter() - started)
@@ -1479,9 +1479,7 @@ class _JoinStage:
             run._stage_spans.append(self.span)
         if run.hot is not None:
             run.hot.join_build_rows.add(len(rows))
-        insert_right_key = self.shj.insert_right_key
-        for row in rows:
-            insert_right_key(row["fileID"])
+        self.shj.insert_keys("right", [row["fileID"] for row in rows], counts=False)
 
     def deliver(self, batch: RowBatch) -> None:
         if self.run.query.done:
@@ -1494,12 +1492,13 @@ class _JoinStage:
                 return
         hot = self.run.hot
         started = perf_counter() if hot is not None else 0.0
-        # Key-only hot loop: probe/build on bare fileIDs, no dict per row.
-        insert_left_key = self.shj.insert_left_key
+        # Key-only batch kernel: probe/build on bare fileIDs, one call per
+        # batch, no dict per row.
+        keys = [key for (key,) in batch.values]
         emitted = self.emitted
         survivors: list[tuple] = []
-        for (key,) in batch.values:
-            if insert_left_key(key) and key not in emitted:
+        for key, count in zip(keys, self.shj.insert_keys("left", keys)):
+            if count and key not in emitted:
                 emitted.add(key)
                 survivors.append((key,))
         if hot is not None:

@@ -187,10 +187,20 @@ class SubstringFilter(Operator):
 def bloom_contains_key(bloom, value: Any) -> bool:
     """The shared key convention for Bloom probes: values probe by
     ``str()`` (the filter hashes strings; fileIDs are hex strings
-    already). Both :class:`BloomProbe` and the streaming dataflow's
-    key-level probe stage go through here, so the normalization rule has
-    exactly one home."""
+    already). :class:`BloomProbe` probes through here and the streaming
+    dataflow's key-level probe stage through its batch form
+    :func:`bloom_probe_keys`; the two are pinned equal by property tests."""
     return str(value) in bloom
+
+
+def bloom_probe_keys(bloom, values: Iterable[Any]) -> list[Any]:
+    """Batch form of :func:`bloom_contains_key`: the values (as given, in
+    order, duplicates kept) that probably belong to ``bloom``, probed by
+    the same ``str()`` rule in one pass over the filter."""
+    if not isinstance(values, (list, tuple)):
+        values = list(values)
+    flags = bloom.contains_many([str(value) for value in values])
+    return [value for value, flag in zip(values, flags) if flag]
 
 
 class BloomProbe(Operator):
@@ -406,13 +416,14 @@ class SymmetricHashJoin(Operator):
     it interleaves the two inputs, which exercises the symmetric structure
     while producing the same output set as any arrival order.
 
-    There is also a **key-only fast path**: :meth:`insert_left_key` /
-    :meth:`insert_right_key` consume bare join-key values and return match
-    *counts*. The streaming dataflow uses it because its exchange batches
-    carry single-column key tuples (:mod:`repro.pier.rows`) and its join
-    stages only ever forward the key of a match — the classic dict-merge
-    path would allocate (and immediately discard) one merged dict per
-    match. Build state on this path is a per-key multiplicity, not a row
+    There is also a **key-only fast path**: :meth:`insert_keys` consumes a
+    whole batch of bare join-key values into one side and returns their
+    match *counts* (:meth:`insert_left_key` / :meth:`insert_right_key` are
+    its one-key forms). The streaming dataflow uses it because its exchange
+    batches carry single-column key tuples (:mod:`repro.pier.rows`) and
+    its join stages only ever forward the key of a match — the classic
+    dict-merge path would allocate (and immediately discard) one merged
+    dict per match. Build state on this path is a per-key multiplicity, not a row
     list; spilling still writes ``{column: key}`` rows so spill accounting
     and the DHT temp-tuple surface are shape-compatible with the dict
     path. The two APIs must not be mixed on one instance (the first
@@ -506,12 +517,99 @@ class SymmetricHashJoin(Operator):
     def insert_left_key(self, key: Any) -> int:
         """Key-only fast path: consume a left join key; returns the number
         of right-side matches it completes (spilled partitions included)."""
-        return self._insert_key("left", "right", key)
+        return self.insert_keys("left", (key,))[0]
 
     def insert_right_key(self, key: Any) -> int:
         """Key-only fast path: consume a right join key; returns the number
         of left-side matches it completes (spilled partitions included)."""
-        return self._insert_key("right", "left", key)
+        return self.insert_keys("right", (key,))[0]
+
+    def insert_keys(
+        self, side: str, keys: Iterable[Any], counts: bool = True
+    ) -> list[int] | None:
+        """Key-only batch kernel: consume ``keys`` into ``side`` in order.
+
+        Returns each key's match count against the other side (spilled
+        partitions included), or None when ``counts`` is False and the
+        caller only builds. The outcome — tables, peaks, evictions,
+        restores, role reversals and sink contents — is exactly that of
+        inserting the keys one at a time; only the per-key call overhead
+        goes. The batch runs in up to three phases, one per join state:
+        an untracked bulk phase (no budget, or up to the budget's
+        remaining slack), the single key that overflows the budget (which
+        takes the spill trigger), and an inlined tracked loop that spills
+        at exactly the points the one-at-a-time path would.
+        """
+        if self._mode != "keys":
+            self._pin_mode("keys")
+        other = "right" if side == "left" else "left"
+        if not isinstance(keys, (list, tuple)):
+            keys = list(keys)
+        table = self._key_tables[side]
+        other_table = self._key_tables[other]
+        result: list[int] | None = [] if counts else None
+        in_memory = self._in_memory
+        budget = self.memory_budget
+        start = 0
+        if not self._tracking:
+            # Untracked: no partition bookkeeping, and nothing but the
+            # overflow key's spill can change either table, so the bulk
+            # phase reads its counts up front and builds in one loop.
+            end = len(keys)
+            if budget is not None:
+                slack = budget - in_memory["left"] - in_memory["right"]
+                end = min(end, max(slack, 0) + 1)
+            bulk = keys[:end] if end < len(keys) else keys
+            if counts:
+                other_get = other_table.get
+                result.extend([other_get(key, 0) for key in bulk])
+            get = table.get
+            for key in bulk:
+                table[key] = get(key, 0) + 1
+            self._count_inserts(side, end)
+            start = end
+            if start == len(keys):
+                return result
+        # Tracked: the first overflow switched partition bookkeeping on.
+        stay_spilled = self._stay_spilled
+        sink = self.spill_sink
+        memo = self._pid_memo
+        fan_out = self.num_partitions
+        spilled_side = self._spilled[side]
+        spilled_other = self._spilled[other]
+        part_rows = self._part_rows[side]
+        part_keys = self._part_keys[side]
+        get = table.get
+        other_get = other_table.get
+        is_left = side == "left"
+        for index in range(start, len(keys)):
+            key = keys[index]
+            count = other_get(key, 0)
+            pid = memo.get(key)
+            if pid is None:
+                pid = spill_partition(key, fan_out)
+            # Never-spilled partitions cost zero sink reads.
+            if pid in spilled_other:
+                count += sink.read_count(other, pid, key)
+            if counts:
+                result.append(count)
+            if stay_spilled and pid in spilled_side:
+                # Spilled partitions stay spilled (see _insert).
+                sink.route_count(side, pid, key)
+                continue
+            table[key] = get(key, 0) + 1
+            part_rows[pid] += 1
+            part_keys[pid].add(key)
+            size = in_memory[side] + 1
+            in_memory[side] = size
+            if is_left:
+                if size > self.peak_left_table:
+                    self.peak_left_table = size
+            elif size > self.peak_right_table:
+                self.peak_right_table = size
+            if in_memory["left"] + in_memory["right"] > budget:
+                self._maybe_spill()
+        return result
 
     def _pin_mode(self, mode: str) -> None:
         if self._mode is None:
@@ -560,35 +658,19 @@ class SymmetricHashJoin(Operator):
         if tracking:
             self._part_rows[side][pid] += 1
             self._part_keys[side][pid].add(key)
-        self._count_insert(side)
+        self._count_inserts(side, 1)
         return merged
 
-    def _insert_key(self, side: str, other: str, key: Any) -> int:
-        if self._mode != "keys":
-            self._pin_mode("keys")
-        count = self._key_tables[other].get(key, 0)
-        tracking = self._tracking
-        if tracking:
-            pid = self._pid_memo.get(key)
-            if pid is None:
-                pid = spill_partition(key, self.num_partitions)
-            if pid in self._spilled[other]:
-                count += self.spill_sink.read_count(other, pid, key)
-            if self._stay_spilled and pid in self._spilled[side]:
-                # Spilled partitions stay spilled (see _insert).
-                self.spill_sink.route_count(side, pid, key)
-                return count
-        table = self._key_tables[side]
-        table[key] = table.get(key, 0) + 1
-        if tracking:
-            self._part_rows[side][pid] += 1
-            self._part_keys[side][pid].add(key)
-        self._count_insert(side)
-        return count
+    def _count_inserts(self, side: str, inserted: int) -> None:
+        """Account ``inserted`` rows just added to ``side``'s table.
 
-    def _count_insert(self, side: str) -> None:
+        Callers batch more than one row only when no budget check could
+        fire before the last of them, so the resident size only grew in
+        between: the peak is the final size, and an overflow can only be
+        the last row's.
+        """
         in_memory = self._in_memory
-        size = in_memory[side] + 1
+        size = in_memory[side] + inserted
         in_memory[side] = size
         if side == "left":
             if size > self.peak_left_table:

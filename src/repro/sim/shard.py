@@ -776,6 +776,20 @@ def _process_worker(conn, factory, shard_id, num_shards, lookahead, seed) -> Non
         return
 
 
+def _forked_worker(inherited, conn, *args) -> None:
+    """Fork entry point: drop inherited parent-side pipe ends, then serve.
+
+    A forked child inherits the parent's end of its own pipe and of every
+    earlier worker's. While any such copy stays open, the parent closing
+    its ends delivers no EOF, so a worker blocked in ``recv`` would never
+    wake and teardown would sit in ``join`` timeouts. Closing them here
+    leaves the parent as the only holder.
+    """
+    for parent_end in inherited:
+        parent_end.close()
+    _process_worker(conn, *args)
+
+
 class _WorkerPool:
     """Owns the shard worker processes and their pipes.
 
@@ -797,8 +811,16 @@ class _WorkerPool:
             for shard_id in range(num_shards):
                 parent_conn, child_conn = context.Pipe()
                 worker = context.Process(
-                    target=_process_worker,
-                    args=(child_conn, factory, shard_id, num_shards, lookahead, seed),
+                    target=_forked_worker,
+                    args=(
+                        [*self.pipes, parent_conn],
+                        child_conn,
+                        factory,
+                        shard_id,
+                        num_shards,
+                        lookahead,
+                        seed,
+                    ),
                     daemon=True,
                 )
                 worker.start()

@@ -2,6 +2,7 @@
 
 import multiprocessing
 import os
+import time
 
 import pytest
 
@@ -61,6 +62,7 @@ def test_process_backend_reproduces_round_robin_digest():
 
 def test_worker_death_mid_scenario_raises_cleanly_without_orphans():
     """Satellite: a shard dying mid-run surfaces its shard id, no orphans."""
+    started = time.perf_counter()
     with pytest.raises(ShardWorkerError, match=r"shard 1\b"):
         run_sharded(
             replay_factory(SMOKE, program_cls=KillerProgram),
@@ -69,5 +71,7 @@ def test_worker_death_mid_scenario_raises_cleanly_without_orphans():
             seed=SMOKE.seed,
             backend="process",
         )
+    # Reported promptly, not after seconds of join timeouts.
+    assert time.perf_counter() - started < 0.5
     # The parent reaped every worker before raising: no forks left.
     assert multiprocessing.active_children() == []

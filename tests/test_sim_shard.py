@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
+import time
 
 import pytest
 
@@ -26,6 +27,8 @@ from repro.sim.shard import (
 )
 
 LOOKAHEAD = 0.05
+#: a dead or raising shard worker must be reported within this wall time
+FAILURE_DEADLINE_S = 0.5
 
 
 # ----------------------------------------------------------------------
@@ -343,10 +346,13 @@ def test_killed_worker_raises_shard_worker_error_and_leaves_no_orphans():
     (a DhtError-style library failure, not a hang or a raw EOFError),
     and every other worker must be torn down — no orphaned forks."""
     before = {p.pid for p in multiprocessing.active_children()}
+    started = time.perf_counter()
     with pytest.raises(ShardWorkerError) as excinfo:
         run_sharded(
             _suicidal_factory, num_shards=3, lookahead=0.05, seed=9, backend="process"
         )
+    # Prompt failure: surviving workers see EOF at once, no join timeouts.
+    assert time.perf_counter() - started < FAILURE_DEADLINE_S
     assert "shard 1" in str(excinfo.value)
     assert "exitcode=17" in str(excinfo.value)
     leaked = [
@@ -360,10 +366,12 @@ def test_worker_exception_raises_shard_worker_error_with_detail():
     """A program exception inside a worker is reported over the pipe and
     re-raised as ShardWorkerError carrying the original message."""
     before = {p.pid for p in multiprocessing.active_children()}
+    started = time.perf_counter()
     with pytest.raises(ShardWorkerError) as excinfo:
         run_sharded(
             _raising_factory, num_shards=3, lookahead=0.05, seed=9, backend="process"
         )
+    assert time.perf_counter() - started < FAILURE_DEADLINE_S
     assert "shard went sideways" in str(excinfo.value)
     leaked = [
         p for p in multiprocessing.active_children() if p.pid not in before and p.is_alive()
