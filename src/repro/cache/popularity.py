@@ -22,8 +22,15 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Hashable, Iterable
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from repro.piersearch.tokenizer import extract_keywords
+
+
+#: distinct term lists whose canonical key stays memoized; a workload
+#: repeats a small set of queries many times, while a stream of unique
+#: queries only cycles the oldest entries out
+_QUERY_KEY_MEMO_SIZE = 4096
 
 
 def query_key(terms: Iterable[str]) -> tuple[str, ...]:
@@ -33,11 +40,24 @@ def query_key(terms: Iterable[str]) -> tuple[str, ...]:
     deduplicated and sorted — conjunctive semantics make term order
     irrelevant, so "foo bar" and "bar foo" share one cache entry. Queries
     with no indexable keyword map to the empty tuple (never cached).
+
+    One race asks for the same key several times (popularity, cache
+    lookup, cache store), so keys are memoized per term tuple in a bounded
+    LRU; ``query_key.cache_clear()`` empties it.
     """
+    return _canonical_key(tuple(terms))
+
+
+@lru_cache(maxsize=_QUERY_KEY_MEMO_SIZE)
+def _canonical_key(terms: tuple[str, ...]) -> tuple[str, ...]:
     keywords: set[str] = set()
     for term in terms:
         keywords.update(extract_keywords(term))
     return tuple(sorted(keywords))
+
+
+query_key.cache_clear = _canonical_key.cache_clear  # type: ignore[attr-defined]
+query_key.cache_info = _canonical_key.cache_info  # type: ignore[attr-defined]
 
 
 class SpaceSavingCounter:

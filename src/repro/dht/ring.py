@@ -172,18 +172,27 @@ class Ring:
     def fingers_of(self, node_id: int) -> list[int]:
         """The deduplicated finger table for ``node_id`` on this ring.
 
-        Same construction as ``DhtNode.update_routing``: the successor of
+        Same table as ``DhtNode.update_routing``: the successor of
         ``node_id + 2**i`` for each ``i``, with consecutive duplicates
-        dropped.
+        dropped — but one bisect per *distinct* finger instead of 160.
+        An owner at clockwise distance ``d`` also owns every target up to
+        ``2**(d.bit_length() - 1)``, so the scan jumps to the first ``i``
+        with ``2**i > d``. An owner closer than its own target means the
+        target wrapped past every node, so each later target maps to that
+        same owner and the table is complete.
         """
         fingers: list[int] = []
-        previous = None
         responsible = self.responsible
-        for index in range(KEY_BITS):
-            owner = responsible((node_id + (1 << index)) % KEY_SPACE)
-            if owner != previous:
+        index = 0
+        while index < KEY_BITS:
+            step = 1 << index
+            owner = responsible((node_id + step) % KEY_SPACE)
+            if not fingers or owner != fingers[-1]:
                 fingers.append(owner)
-                previous = owner
+            distance = (owner - node_id) % KEY_SPACE
+            if distance < step:
+                break
+            index = distance.bit_length()
         return fingers
 
     def backing_bytes(self) -> int:

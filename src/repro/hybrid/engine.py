@@ -61,6 +61,7 @@ from repro.pier.query import DistributedPlan
 from repro.piersearch.tokenizer import extract_keywords
 from repro.piersearch.search import SearchEngine
 from repro.sim.engine import Simulator
+from repro.sim.stats import Counter as StatsCounter
 
 
 @dataclass(frozen=True)
@@ -123,10 +124,10 @@ class QueryRace:
     #: resolution to tell an honestly-empty answer from one that may have
     #: lost data to mid-race churn
     membership_epoch: int = 0
-    #: DHT keys of this query's posting lists (table-qualified, the keys
-    #: the walk actually reads) — checked against suspect ranges when a
-    #: zero-result answer resolves
-    posting_keys: tuple[int, ...] = ()
+    #: posting table the query's keywords are read from ("Inverted",
+    #: "InvertedCache", ...), fixed at submit: a zero-result answer derives
+    #: its posting keys from it to check them against suspect ranges
+    posting_table: str = ""
     #: posting-join matches the executed plan produced (entries surviving
     #: the last posting stage). Matches with zero final results mean the
     #: Item rows themselves are gone — loss the posting keys alone cannot
@@ -208,6 +209,8 @@ class HybridQueryEngine:
         #: (the SearchEngine itself is held as the key so a recycled id()
         #: can never alias a stale runtime)
         self._dataflows: dict[int, tuple[SearchEngine, DataflowExecutor]] = {}
+        #: ``hybrid.winner{source}`` counters by source, looked up once each
+        self._winner_counters: dict[str, StatsCounter] = {}
 
     def _dataflow_for(self, search_engine: SearchEngine) -> DataflowExecutor:
         key = id(search_engine)
@@ -261,18 +264,15 @@ class HybridQueryEngine:
             gnutella_latency=math.inf,
         )
         engine = hybrid.search_engine
-        posting_table = (
-            "InvertedCache" if engine.inverted_cache else engine.planner.posting_table
-        )
         race = QueryRace(
             outcome=outcome,
             submitted_at=self.sim.now,
             stop_ttl=stop_ttl,
             membership_epoch=self.dht.membership_version,
-            posting_keys=tuple(
-                hash_key(f"{posting_table}|{keyword}")
-                for term in terms
-                for keyword in extract_keywords(term)
+            posting_table=(
+                "InvertedCache"
+                if engine.inverted_cache
+                else engine.planner.posting_table
             ),
             on_done=on_done,
         )
@@ -613,7 +613,14 @@ class HybridQueryEngine:
             or outcome.degraded
         ):
             return
-        suspect_posting = any(self.dht.is_suspect(key) for key in race.posting_keys)
+        # The DHT keys of the query's posting lists (table-qualified, the
+        # keys the walk actually reads), derived only here: no race that
+        # Gnutella or the cache answers ever needs them.
+        suspect_posting = any(
+            self.dht.is_suspect(hash_key(f"{race.posting_table}|{keyword}"))
+            for term in race.outcome.terms
+            for keyword in extract_keywords(term)
+        )
         # Join matches with zero final results mean the matched Item rows
         # are gone from the ring — loss the posting keys cannot prove.
         lost_items = race.join_matches > 0
@@ -649,11 +656,18 @@ class HybridQueryEngine:
             if outcome.used_pier and not race.pier_failed
             else "none"
         )
-        self.metrics.counter("hybrid.winner", labels={"source": winner}).add(1)
-        if not math.isinf(race.first_result_latency):
+        counter = self._winner_counters.get(winner)
+        if counter is None:
+            # Created on first use, so the export never shows a zero series.
+            counter = self._winner_counters[winner] = self.metrics.counter(
+                "hybrid.winner", labels={"source": winner}
+            )
+        counter.add(1)
+        latency = race.first_result_latency
+        if not math.isinf(latency):
             self.metrics.histogram(
                 "hybrid.first_result_latency", reservoir_size=4096
-            ).observe(race.first_result_latency)
+            ).observe(latency)
         if race.span is not None:
             race.span.finish(
                 winner=winner,

@@ -40,23 +40,35 @@ _COMMENT_LINE = re.compile(
 )
 
 
+_LABEL_PAIR = re.compile(r'([^=,{}]+)="((?:[^"\\]|\\.)*)"', re.DOTALL)
+_KEY_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+
+
 def _series_key(name: str, labels: Mapping[str, Any] | None) -> str:
     if not labels:
         return name
-    body = ",".join(f'{key}="{labels[key]}"' for key in sorted(labels))
+    body = ",".join(f'{key}="{_quote(labels[key])}"' for key in sorted(labels))
     return f"{name}{{{body}}}"
 
 
+def _quote(value: Any) -> str:
+    """A label value safe inside the key's quotes (``\\`` and ``"`` escaped)."""
+    return str(value).replace("\\", r"\\").replace('"', r"\"")
+
+
 def split_series_key(key: str) -> tuple[str, dict[str, str]]:
-    """Inverse of the canonical key encoding: ``name{a="b"}`` -> parts."""
+    """Inverse of the canonical key encoding: ``name{a="b"}`` -> parts.
+
+    Values are read quote-aware, so a value holding ``,``, ``=``, ``}``
+    or an escaped ``"``/``\\`` comes back exactly as it was set.
+    """
     if "{" not in key:
         return key, {}
     name, _, rest = key.partition("{")
-    labels: dict[str, str] = {}
-    for part in rest.rstrip("}").split(","):
-        if part:
-            label, _, value = part.partition("=")
-            labels[label] = value.strip('"')
+    labels = {
+        label: _KEY_ESCAPE.sub(r"\1", value)
+        for label, value in _LABEL_PAIR.findall(rest)
+    }
     return name, labels
 
 
@@ -83,6 +95,11 @@ class MetricsRegistry(StatsRegistry):
     def counter(
         self, name: str, labels: Mapping[str, Any] | None = None
     ) -> Counter:
+        if not labels:
+            # Hot path: an existing unlabelled series is one dict probe.
+            existing = self.counters.get(name)
+            if existing is not None:
+                return existing
         return super().counter(_series_key(name, labels))
 
     def gauge(self, name: str, labels: Mapping[str, Any] | None = None) -> Gauge:
@@ -172,7 +189,7 @@ class MetricsRegistry(StatsRegistry):
 
 
 def _escape(value: Any) -> str:
-    return str(value).replace("\\", r"\\").replace('"', r"\"").replace("\n", r"\n")
+    return _quote(value).replace("\n", r"\n")
 
 
 def validate_prometheus(text: str) -> None:

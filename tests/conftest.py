@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cache.popularity import query_key
 from repro.experiments.common import (
     SMALL_SCALE,
     get_campaign,
@@ -36,3 +37,10 @@ def workload(small_scale):
 @pytest.fixture(scope="session")
 def campaign(small_scale):
     return get_campaign(small_scale)
+
+
+@pytest.fixture(autouse=True)
+def cold_query_key_memo():
+    """Every test starts with an empty query-key memo (no warm-cache coupling)."""
+    query_key.cache_clear()
+    yield

@@ -4,6 +4,7 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.obs.metrics import (
     MetricsRegistry,
@@ -34,6 +35,43 @@ class TestLabelledSeries:
     def test_split_series_key_inverts_encoding(self):
         assert split_series_key('c{a="1",b="2"}') == ("c", {"a": "1", "b": "2"})
         assert split_series_key("plain") == ("plain", {})
+
+    def test_label_value_with_comma_stays_one_label(self):
+        registry = MetricsRegistry()
+        registry.counter("x", labels={"k": "a,b"}).add(1)
+        (key,) = registry.counters
+        assert split_series_key(key) == ("x", {"k": "a,b"})
+        assert 'repro_x_total{k="a,b"} 1' in registry.to_prometheus()
+
+    def test_label_value_with_quote_is_escaped_in_export(self):
+        registry = MetricsRegistry()
+        registry.counter("x", labels={"k": 'say "hi"'}).add(1)
+        text = registry.to_prometheus()
+        validate_prometheus(text)
+        assert r'repro_x_total{k="say \"hi\""} 1' in text
+
+    @given(
+        labels=st.dictionaries(
+            st.from_regex(r"[a-z_][a-z0-9_]{0,6}", fullmatch=True),
+            st.text(alphabet=st.sampled_from(',"}={\\ab'), max_size=8),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    @settings(max_examples=200)
+    def test_series_key_round_trips_any_label_value(self, labels):
+        registry = MetricsRegistry()
+        registry.counter("series", labels=labels).add(1)
+        (key,) = registry.counters
+        assert split_series_key(key) == ("series", labels)
+        validate_prometheus(registry.to_prometheus())
+
+    def test_unlabelled_counter_is_one_series_object(self):
+        registry = MetricsRegistry()
+        first = registry.counter("c")
+        assert registry.counter("c") is first
+        assert registry.counter("c", labels={}) is first
+        assert list(registry.counters) == ["c"]
 
     def test_gauges_and_histograms_accept_labels(self):
         registry = MetricsRegistry()
